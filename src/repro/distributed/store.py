@@ -741,9 +741,7 @@ class _Shard:
     def _reclaim_node(self, node: _Node) -> int:
         """One reclamation pass; returns the dead entries it made
         unrecoverable (and scrubs the node's WAL as a side effect)."""
-        dead = node.backend.stats().dead_entries
-        node.backend.reclaim()
-        return dead
+        return node.backend.reclaim()
 
     def _delete_everywhere(self, key: Any) -> Tuple[int, int]:
         """Logical deletes + cache invalidation on every node (no reclaim).

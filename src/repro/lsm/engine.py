@@ -479,18 +479,24 @@ class LSMEngine:
         )
         return outs[0] if outs else SSTable([], self._payload_bytes, self._now())
 
-    def full_compaction(self) -> None:
+    def full_compaction(self) -> int:
         """Merge every run and drop all tombstones — the LSM grounding of
         *physical* deletion (paired with a flush so the memtable empties).
 
         Always synchronous, whatever the scheduler mode: the grounded erase
         verb *is* the reclamation, and deferring it would leave the §1
         retention hazard open after the erase reported success.
+
+        Returns the dead entries the pass made unrecoverable: physical
+        entries before (memtable + runs) minus entries after.  The merge
+        keeps exactly one entry per live key and drops every tombstone and
+        every shadowed value, so the difference is the dead count itself.
         """
+        before = len(self._memtable) + sum(len(run) for run in self.runs())
         self.flush()
         tables = [(i, tuple(level)) for i, level in enumerate(self._levels) if level]
         if not tables:
-            return
+            return before  # the flush's own merge already dropped them all
         target = self.compaction_policy.full_compaction_target(self._levels)
         self.execute_compaction(
             CompactionTask(
@@ -505,6 +511,7 @@ class LSMEngine:
         # clear any stale deferred request so no queued plan re-runs later.
         self.scheduler.pending = False
         self.scheduler.deferred_requests = 0
+        return before - sum(len(run) for run in self.runs())
 
     # -------------------------------------------------------------- forensics
     def physically_present(self, key: Any) -> bool:
@@ -595,9 +602,9 @@ class LSMEngine:
             for table in level:
                 yield i, table
 
-    def memtable_entries(self) -> Iterator[Tuple[Any, Tuple[int, Any]]]:
-        """``(key, (seqno, value))`` pairs currently buffered in memory."""
-        return iter(self._memtable.items())
+    def memtable_entries_encoded(self) -> Iterator[Tuple[Any, Tuple[int, bytes]]]:
+        """``(key, (seqno, blob))`` pairs currently buffered in memory."""
+        return self._memtable.items_encoded()
 
     def live_items(
         self, predicate: Optional[Callable[[Any], bool]] = None

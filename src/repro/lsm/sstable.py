@@ -106,6 +106,8 @@ class SSTable:
         self._block = b"".join(parts)
         self._view = memoryview(self._block)
         self._offsets = offsets
+        # Immutable table: count the delete markers once, here.
+        self._tombstones = blobs.count(TOMBSTONE_BLOB)
         self._bloom = BloomFilter.from_keys(keys, cache=hash_cache)
 
     # ------------------------------------------------------------------ blobs
@@ -169,7 +171,7 @@ class SSTable:
 
     @property
     def tombstone_count(self) -> int:
-        return sum(1 for i in range(len(self._keys)) if self._is_tombstone(i))
+        return self._tombstones
 
     @property
     def value_count(self) -> int:

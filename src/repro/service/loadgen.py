@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from repro.service.api import (
     CollectRequest,
@@ -38,6 +38,12 @@ from repro.service.api import (
 from repro.service.server import ComplianceService
 from repro.workloads.base import OpKind, Operation, Workload
 from repro.workloads.driver import unit_key
+
+#: Most passes over its slice's reads a client replays while a background
+#: rebalance is unfinished.  A healthy rebalance in the service smoke needs
+#: at most about seven; the bound turns a stuck one into a reported failure
+#: rather than a load that never ends.
+MAX_READ_REPLAYS = 1000
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,14 @@ def run_loadgen(
 ) -> LoadgenReport:
     """Replay ``workload`` against ``service`` from ``clients`` threads.
 
-    Returns once every client has driven its slice to completion.  A 429
+    Returns once every client has driven its slice to completion.  While
+    the service still has an unfinished background rebalance, a client
+    that has finished its slice keeps replaying the slice's reads, in
+    order — so the rebalance is judged by whether it completes *under
+    load*, not by whether it beats a fixed amount of traffic — for at most
+    :data:`MAX_READ_REPLAYS` passes, after which the client stops and a
+    stuck rebalance shows as ``service.rebalance_done`` being false.  A
+    client whose slice holds no reads stops at the end of its slice.  A 429
     sleeps ``backoff_seconds`` (doubling, capped at 50 ms) and retries up
     to ``max_retries`` times; a request still rejected after that counts
     in ``rejected`` and is dropped — the loadgen never blocks forever on
@@ -130,8 +143,17 @@ def run_loadgen(
 
     tallies = [_ClientTally() for _ in range(clients)]
 
+    def _ops(ops: List[Operation]) -> Iterator[Operation]:
+        yield from ops
+        reads = [op for op in ops if op.kind is OpKind.READ]
+        for _ in range(MAX_READ_REPLAYS):
+            for op in reads:
+                if service.rebalance_done:
+                    return
+                yield op
+
     def _client(ops: List[Operation], tally: _ClientTally) -> None:
-        for op in ops:
+        for op in _ops(ops):
             request = _build_request(op, key_fn, consistency, subject_fn)
             if request is None:
                 tally.metadata += 1

@@ -360,8 +360,12 @@ class ComplianceService:
 
     @property
     def rebalance_done(self) -> bool:
-        with self._topology.write():
-            return self._driver is None or self._driver.done
+        """Whether no background rebalance is left unfinished.  Read
+        without the topology lock: a driver's ``done`` only turns true, as
+        the last act of finalizing, so a racing read sees it at worst one
+        request late — cheap enough to poll on every request."""
+        driver = self._driver
+        return driver is None or driver.done
 
     # ------------------------------------------------------------ inspection
     def stats(self) -> ServiceStats:

@@ -10,7 +10,9 @@ benchmarks (Figure 4a):
   file shrinks, every tuple id changes (indexes must be rebuilt).
 
 A free-space map (list of page numbers with room) keeps inserts O(1)
-amortized without scanning the whole file.
+amortized without scanning the whole file, and file-wide live/dead tuple
+totals are kept as counters every mutation updates, so the bloat statistic
+every read pays for (``dead_fraction``) is O(1) too.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ class HeapFile:
         self.name = name
         self._pages: List[Page] = []
         self._free_map: List[int] = []  # page numbers believed to have room
+        # File-wide tuple totals; always equal to the page sums.
+        self._live = 0
+        self._dead = 0
 
     # ------------------------------------------------------------ statistics
     @property
@@ -38,11 +43,11 @@ class HeapFile:
 
     @property
     def live_tuples(self) -> int:
-        return sum(p.live_count for p in self._pages)
+        return self._live
 
     @property
     def dead_tuples(self) -> int:
-        return sum(p.dead_count for p in self._pages)
+        return self._dead
 
     @property
     def live_bytes(self) -> int:
@@ -60,8 +65,8 @@ class HeapFile:
     @property
     def dead_fraction(self) -> float:
         """Dead share of occupied tuples — the bloat statistic reads pay for."""
-        total = self.live_tuples + self.dead_tuples
-        return self.dead_tuples / total if total else 0.0
+        total = self._live + self._dead
+        return self._dead / total if total else 0.0
 
     # --------------------------------------------------------------- mutation
     def insert(self, key: Any, payload: Any, payload_size: int) -> TID:
@@ -71,6 +76,7 @@ class HeapFile:
             page = self._pages[page_no]
             if page.fits(payload_size):
                 slot_no = page.insert(key, payload, payload_size)
+                self._live += 1
                 if not page.fits(payload_size):
                     self._free_map.pop()
                 return (page_no, slot_no)
@@ -78,6 +84,7 @@ class HeapFile:
         page = Page(len(self._pages))
         self._pages.append(page)
         slot_no = page.insert(key, payload, payload_size)
+        self._live += 1
         if page.fits(payload_size):
             self._free_map.append(page.page_no)
         return (page.page_no, slot_no)
@@ -85,6 +92,8 @@ class HeapFile:
     def mark_dead(self, tid: TID) -> None:
         page_no, slot_no = tid
         self._pages[page_no].mark_dead(slot_no)
+        self._live -= 1
+        self._dead += 1
 
     def fetch(self, tid: TID) -> TupleSlot:
         page_no, slot_no = tid
@@ -109,6 +118,7 @@ class HeapFile:
                 reclaimed += got
                 if page.page_no not in self._free_map and page.free_bytes > TUPLE_OVERHEAD:
                     self._free_map.append(page.page_no)
+        self._dead -= reclaimed
         return reclaimed
 
     def rewrite(self) -> Dict[Any, Tuple[TID, TupleSlot]]:
@@ -123,6 +133,8 @@ class HeapFile:
         ]
         self._pages = []
         self._free_map = []
+        self._live = 0
+        self._dead = 0
         mapping: Dict[Any, Tuple[TID, TupleSlot]] = {}
         for slot in survivors:
             tid = self.insert(slot.key, slot.payload, slot.payload_size)

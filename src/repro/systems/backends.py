@@ -99,7 +99,7 @@ from repro.crypto.vault import KEY_ENTRY_BYTES, VAULT_HEADER_BYTES, KeyVault
 from repro.lsm.cache import SharedBlockCache
 from repro.lsm.compaction import EMPTY_COMPACTION_STATS, CompactionStats
 from repro.lsm.engine import LSMEngine
-from repro.lsm.memtable import TOMBSTONE
+from repro.lsm.memtable import TOMBSTONE_BLOB
 from repro.sim.costs import CostModel
 from repro.storage.engine import FlaggedPayload, RelationalEngine
 from repro.storage.errors import StorageError, TupleNotFoundError
@@ -266,26 +266,31 @@ class StorageBackend(ABC):
         without reclaiming physical space."""
 
     @abstractmethod
-    def _reclaim(self) -> None:
+    def _reclaim(self) -> int:
         """Engine-specific reclamation (VACUUM / full compaction / shred
-        sweep) — wrapped by :meth:`reclaim`, which counts the passes."""
+        sweep) — wrapped by :meth:`reclaim`, which counts the passes.
+        Returns the dead entries the pass made unrecoverable, counted by
+        the pass itself (no statistics scan)."""
 
     @abstractmethod
-    def _reclaim_full(self) -> None:
+    def _reclaim_full(self) -> int:
         """The strongest reclamation the engine offers — wrapped by
-        :meth:`reclaim_full`."""
+        :meth:`reclaim_full`; returns like :meth:`_reclaim`."""
 
-    def reclaim(self) -> None:
+    def reclaim(self) -> int:
         """Make logically deleted values physically unrecoverable — the
-        second half of the "delete" grounding."""
+        second half of the "delete" grounding.  Returns the number of dead
+        entries made unrecoverable: ``stats().dead_entries`` as it read
+        just before the pass."""
         self.reclaim_count += 1
-        self._reclaim()
+        return self._reclaim()
 
-    def reclaim_full(self) -> None:
+    def reclaim_full(self) -> int:
         """The strongest reclamation (VACUUM FULL / full compaction / shred
-        + space release) — the second half of the "strong delete" grounding."""
+        + space release) — the second half of the "strong delete" grounding.
+        Returns like :meth:`reclaim`."""
         self.reclaim_full_count += 1
-        self._reclaim_full()
+        return self._reclaim_full()
 
     def erase(self, unit_id: Any) -> None:
         """The full "delete" grounding: logical delete + reclamation —
@@ -571,11 +576,11 @@ class PsqlBackend(StorageBackend):
     def delete(self, unit_id: Any) -> None:
         self.engine.delete(self.table, unit_id)
 
-    def _reclaim(self) -> None:
-        self.engine.vacuum(self.table)
+    def _reclaim(self) -> int:
+        return self.engine.vacuum(self.table)
 
-    def _reclaim_full(self) -> None:
-        self.engine.vacuum_full(self.table)
+    def _reclaim_full(self) -> int:
+        return self.engine.vacuum_full(self.table)
 
     def purge_history(self, unit_id: Any) -> int:
         return self.engine.wal.purge_key(self.table, unit_id)
@@ -761,11 +766,11 @@ class LsmBackend(StorageBackend):
     def delete(self, unit_id: Any) -> None:
         self.engine.delete(unit_id)
 
-    def _reclaim(self) -> None:
-        self.engine.full_compaction()
+    def _reclaim(self) -> int:
+        return self.engine.full_compaction()
 
-    def _reclaim_full(self) -> None:
-        self.engine.full_compaction()
+    def _reclaim_full(self) -> int:
+        return self.engine.full_compaction()
 
     def maintain(self, max_bytes: Optional[int] = None) -> int:
         """Run compaction work the deferred scheduler has queued — the
@@ -821,24 +826,30 @@ class LsmBackend(StorageBackend):
         return self.engine.copy_sites(unit_id)
 
     def forensic_scan(self) -> List[Tuple[Any, bool]]:
-        newest: Dict[Any, Tuple[int, Any]] = {}
-        physical: List[Tuple[Any, int, Any]] = []
-        for key, (seqno, value) in self.engine.memtable_entries():
-            physical.append((key, seqno, value))
-            if key not in newest or seqno > newest[key][0]:
-                newest[key] = (seqno, value)
+        """Every physical value, memtable first then runs in recency order,
+        with whether it is the key's newest live version.  Works on the
+        encoded blobs: a delete marker is recognized by blob equality, so
+        no value is decoded."""
+        physical = [
+            (key, seqno, blob == TOMBSTONE_BLOB)
+            for key, (seqno, blob) in self.engine.memtable_entries_encoded()
+        ]
         for run in self.engine.runs():
-            for key, seqno, value in run.entries():
-                physical.append((key, seqno, value))
-                if key not in newest or seqno > newest[key][0]:
-                    newest[key] = (seqno, value)
-        out: List[Tuple[Any, bool]] = []
-        for key, seqno, value in physical:
-            if value is TOMBSTONE:
-                continue  # tombstones carry no recoverable value
-            top_seqno, top_value = newest[key]
-            out.append((key, seqno == top_seqno and top_value is not TOMBSTONE))
-        return out
+            physical.extend(
+                (key, seqno, blob == TOMBSTONE_BLOB)
+                for key, seqno, blob in run.entries_encoded()
+            )
+        newest: Dict[Any, Tuple[int, bool]] = {}
+        for key, seqno, dead in physical:
+            if key not in newest or seqno > newest[key][0]:
+                newest[key] = (seqno, dead)
+        # Tombstones carry no recoverable value; a value is live only as
+        # its key's newest version, and only if that version is no delete.
+        return [
+            (key, newest[key] == (seqno, False))
+            for key, seqno, dead in physical
+            if not dead
+        ]
 
     def exists(self, unit_id: Any) -> bool:
         return self.engine.get(unit_id) is not None
@@ -1167,9 +1178,10 @@ class CryptoShredBackend(StorageBackend):
         entry.live = False
         self._cost.charge_tuple_cpu()
 
-    def _reclaim(self) -> None:
+    def _reclaim(self) -> int:
         """Shred the keys of every dead entry (graveyard included) —
         crypto-erase, one batched key-table write for the whole sweep.
+        Returns the keys newly shredded: every recoverable dead entry.
 
         The pass sweeps the catalog to find dead entries (the analogue of
         VACUUM's heap scan), so batching erases amortizes it.
@@ -1177,21 +1189,22 @@ class CryptoShredBackend(StorageBackend):
         self._cost.charge_tuple_cpu(len(self._entries) + len(self._graveyard))
         victims = [e for e in self._entries.values() if not e.live]
         victims.extend(e for _uid, e in self._graveyard)
-        self._shred_batch(victims)
+        shredded = self._shred_batch(victims)
         # Shredded graveyard placements leave the scan set for good — only
         # their (unrecoverable) ciphertext sectors keep occupying disk.
         for _unit_id, entry in self._graveyard:
             self._residue_bytes += entry.sectors * SECTOR
             self._residue_slots.append(entry)
         self._graveyard.clear()
+        return shredded
 
-    def _reclaim_full(self) -> None:
+    def _reclaim_full(self) -> int:
         """Shred dead entries' keys, release their ciphertext space, and
         compact this backend's share of the vault's key table."""
         self._cost.charge_tuple_cpu(len(self._entries) + len(self._graveyard))
         victims = [e for e in self._entries.values() if not e.live]
         victims.extend(e for _uid, e in self._graveyard)
-        self._shred_batch(victims)
+        shredded = self._shred_batch(victims)
         for entry in victims:
             self._release_slot(entry)
         for entry in self._residue_slots:
@@ -1208,6 +1221,7 @@ class CryptoShredBackend(StorageBackend):
             self._partial = [
                 g for g in kept if g.capacity > 1 and g.has_free_slot
             ]
+        return shredded
 
     def _sanitize_victims(
         self, victims: Sequence[_ShredEntry], batched: bool

@@ -59,6 +59,15 @@ class HeapMachine(RuleBasedStateMachine):
         assert self.heap.dead_tuples >= 0
 
     @invariant()
+    def counters_equal_page_sums(self):
+        """The O(1) file totals never drift from what the pages hold."""
+        pages = [self.heap.page(n) for n in range(self.heap.page_count)]
+        live = sum(p.live_count for p in pages)
+        dead = sum(p.dead_count for p in pages)
+        assert (self.heap.live_tuples, self.heap.dead_tuples) == (live, dead)
+        assert self.heap.dead_fraction == (dead / (live + dead) if live + dead else 0.0)
+
+    @invariant()
     def tids_resolve(self):
         for key, tid in self.tids.items():
             slot = self.heap.fetch(tid)

@@ -17,6 +17,7 @@ from repro.distributed.store import (
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
 from repro.storage.errors import TupleNotFoundError
+from repro.systems.backends import StorageBackend
 
 BACKENDS = ("psql", "lsm", "crypto-shred")
 
@@ -382,6 +383,78 @@ class TestBatchErase:
         assert report.log_values_scrubbed >= len(victims)
         for key in victims:
             assert not store.lingering_copies(key)
+
+
+class TestEraseWithoutScans:
+    """The grounded erase reads its ``dead_tuples_vacuumed`` from the
+    reclamation pass itself: no node runs a statistics scan, and the count
+    matches what a ``stats()`` read before each pass reported."""
+
+    @staticmethod
+    def _twins(backend):
+        config = (
+            BackendConfig(backend="lsm", memtable_capacity=4)
+            if backend == "lsm"
+            else BackendConfig(backend=backend)
+        )
+        stores = []
+        for _ in range(2):
+            store, clock = make_store(shards=2, backend=config)
+            for i in range(24):
+                store.put(f"k{i}", i)
+            for i in range(0, 24, 3):
+                store.update(f"k{i}", -i)  # dead versions beside the victims
+            advance(clock, 60_000)
+            for i in range(24):
+                store.read(f"k{i}", replica=0)
+            stores.append(store)
+        return stores
+
+    @staticmethod
+    def _forbid_stats(monkeypatch):
+        def no_scan(self):
+            raise AssertionError(f"{self.name}: stats() on the erase path")
+
+        for cls in (StorageBackend, *StorageBackend.__subclasses__()):
+            monkeypatch.setattr(cls, "stats", no_scan)
+
+    @staticmethod
+    def _stats_before_reclaim(monkeypatch, store):
+        """The reference count: each node's dead entries read just before
+        its pass (monkeypatched onto this store's shards only)."""
+
+        def reclaim_node(node):
+            dead = node.backend.stats().dead_entries
+            node.backend.reclaim()
+            return dead
+
+        for shard in store.shards():
+            monkeypatch.setattr(shard, "_reclaim_node", reclaim_node)
+
+    def test_erase_all_copies_never_scans(self, backend, monkeypatch):
+        store, reference = self._twins(backend)
+        with monkeypatch.context() as m:
+            self._stats_before_reclaim(m, reference)
+            expected = [reference.erase_all_copies(f"k{i}") for i in (0, 1, 5)]
+        self._forbid_stats(monkeypatch)
+        got = [store.erase_all_copies(f"k{i}") for i in (0, 1, 5)]
+        assert [r.dead_tuples_vacuumed for r in got] == [
+            r.dead_tuples_vacuumed for r in expected
+        ]
+        assert sum(r.dead_tuples_vacuumed for r in got) > 0
+        assert all(r.verified_clean for r in got)
+
+    def test_erase_many_never_scans(self, backend, monkeypatch):
+        store, reference = self._twins(backend)
+        victims = [f"k{i}" for i in range(0, 24, 2)]
+        with monkeypatch.context() as m:
+            self._stats_before_reclaim(m, reference)
+            expected = reference.erase_many(victims)
+        self._forbid_stats(monkeypatch)
+        got = store.erase_many(victims)
+        assert got.shards_touched == 2
+        assert got.dead_tuples_vacuumed == expected.dead_tuples_vacuumed > 0
+        assert got.verified_clean
 
 
 class TestBackendParametrization:

@@ -24,10 +24,12 @@ from repro.service import (
     UpdateRequest,
     run_loadgen,
 )
+from repro.service import loadgen as loadgen_module
 from repro.service.http import serve_in_background
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostBook, CostModel
 from repro.storage.errors import TupleNotFoundError
+from repro.workloads import ycsb_c_workload
 from repro.workloads.driver import load_store
 from repro.workloads.gdprbench import erasure_study_workload
 
@@ -238,6 +240,57 @@ class TestConcurrentSmoke:
         stats = service.stats()
         assert stats.invariant_checks > 0
         assert stats.invariant_violations == 0
+
+    @staticmethod
+    def _read_only_service(**cfg):
+        cost = CostModel(SimClock(), CostBook())
+        store = ReplicatedStore.from_config(
+            cost, StoreConfig(shards=2, n_replicas=1)
+        )
+        workload = ycsb_c_workload(200, 20, seed=3)
+        load_store(store, workload)
+        service = ComplianceService(
+            store, config=ServiceConfig(**cfg), autostart=False
+        )
+        return service, workload
+
+    def test_loadgen_keeps_reading_while_a_rebalance_runs(self):
+        """Completion under load is defined by operations: a 20-read load
+        ends long before a rebalance stepped 8 keys every 5 ms, so the
+        clients replay their reads until it is done."""
+        service, workload = self._read_only_service(
+            maintenance_interval=0.005, maintenance_budget_keys=8
+        )
+        service.start()
+        service.begin_rebalance(3)
+        report = run_loadgen(service, workload, clients=2)
+        assert service.rebalance_done
+        service.close()
+        assert report.ops == report.reads > len(workload.operations)
+        assert report.errors == 0
+
+    def test_loadgen_stops_replaying_when_a_rebalance_is_stuck(
+        self, monkeypatch
+    ):
+        """A rebalance that never finishes ends the load after a bounded
+        number of read replays and reports as unfinished: a failure the
+        caller can assert on, not a hang."""
+        service, workload = self._read_only_service()
+        driver = service.begin_rebalance(3)
+        monkeypatch.setattr(driver, "step", lambda budget_keys=64: 0)
+        monkeypatch.setattr(loadgen_module, "MAX_READ_REPLAYS", 3)
+        service.start()
+        report = run_loadgen(service, workload, clients=2)
+        assert not service.rebalance_done
+        service.close()
+        assert report.reads == 4 * len(workload.operations)
+
+    def test_loadgen_without_rebalance_runs_the_workload_once(self):
+        service, workload = self._read_only_service()
+        service.start()
+        report = run_loadgen(service, workload, clients=2)
+        service.close()
+        assert report.reads == len(workload.operations)
 
     def test_rebalance_already_running_raises(self):
         service, store = make_service(shards=2)
